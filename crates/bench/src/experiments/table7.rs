@@ -48,7 +48,7 @@ fn run_dataset(ds: Dataset) -> (String, [Duration; 3]) {
     // Tuffy-batch: one load (round-trip) per component.
     let t0 = Instant::now();
     for &c in &jobs {
-        let (sub, _) = g.mrf.project(&cs.atoms[c]);
+        let (sub, _) = g.mrf.project(&cs.atoms[c], &cs.clauses[c]);
         let mut ws = WalkSat::new(&sub, crate::SEED + c as u64);
         for _ in 0..per_comp_budget(cs.atoms[c].len()) {
             if !ws.step(0.5) {
@@ -69,7 +69,7 @@ fn run_dataset(ds: Dataset) -> (String, [Duration; 3]) {
     for bin in &bins {
         for &item in &bin.items {
             let c = jobs[item];
-            let (sub, _) = g.mrf.project(&cs.atoms[c]);
+            let (sub, _) = g.mrf.project(&cs.atoms[c], &cs.clauses[c]);
             let mut ws = WalkSat::new(&sub, crate::SEED + c as u64);
             for _ in 0..per_comp_budget(cs.atoms[c].len()) {
                 if !ws.step(0.5) {

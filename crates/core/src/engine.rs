@@ -97,9 +97,10 @@ impl Engine {
     /// Forks a new engine whose base generation carries `rule_weights`
     /// (one [`Weight`](tuffy_mln::Weight) per program rule, in rule
     /// order) — weight learning's iteration step. The rebuild is
-    /// O(clauses) through [`Snapshot::relearn`]: every structural arena,
-    /// the partition schedule, and the component analysis are shared
-    /// with this engine, no grounding happens
+    /// O(clauses) through [`Snapshot::relearn`]: every structural arena
+    /// and the component count are shared with this engine (the
+    /// weight-dependent partition schedule and marginal cache start
+    /// empty), no grounding happens
     /// ([`Engine::groundings_performed`] is unchanged), and snapshots or
     /// sessions already handed out keep serving their own generations.
     pub fn relearn(&self, rule_weights: &[tuffy_mln::Weight]) -> Result<Engine, MlnError> {
@@ -109,7 +110,7 @@ impl Engine {
     }
 
     /// Marginal-result cache hits served by the engine's base generation
-    /// cache set (shared across [`Engine::relearn`] forks; see
+    /// cache set (each [`Engine::relearn`] fork has its own; see
     /// [`Snapshot::marginal_cache_hits`]).
     pub fn marginal_cache_hits(&self) -> u64 {
         self.base.marginal_cache_hits()

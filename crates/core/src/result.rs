@@ -1,5 +1,6 @@
 //! Inference results and reports.
 
+use std::sync::Arc;
 use std::time::Duration;
 use tuffy_grounder::{AtomRegistry, GroundingStats};
 use tuffy_mln::fxhash::FxHashMap;
@@ -43,31 +44,29 @@ pub struct InferenceReport {
     pub flips_per_sec: f64,
 }
 
-/// Resolves a ground atom to its display names: the predicate name and
-/// one string per argument. The single place atom rendering happens —
-/// both result types go through it.
-pub(crate) fn atom_names(program: &MlnProgram, ga: &GroundAtom) -> (String, Vec<String>) {
-    (
-        program.predicate_name(ga.predicate).to_string(),
-        ga.args
-            .iter()
-            .map(|s| program.symbols.resolve(*s).to_string())
-            .collect(),
-    )
-}
-
-/// Renders a ground atom in evidence syntax: `pred(arg1, arg2)`.
+/// Renders a ground atom in evidence syntax: `pred(arg1, arg2)`. The
+/// single place atom rendering happens — every result type goes
+/// through it.
 pub fn render_atom(program: &MlnProgram, ga: &GroundAtom) -> String {
-    let (name, args) = atom_names(program, ga);
-    format!("{name}({})", args.join(", "))
+    let mut out = String::from(program.predicate_name(ga.predicate));
+    out.push('(');
+    for (i, &arg) in ga.args.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(program.symbols.resolve(arg));
+    }
+    out.push(')');
+    out
 }
 
 /// The result of MAP inference: a most-likely world.
 #[derive(Debug)]
 pub struct MapResult {
-    pub(crate) program_true_atoms: Vec<GroundAtom>,
-    pub(crate) name_of: Vec<(String, Vec<String>)>,
-    pub(crate) known_predicates: Vec<String>,
+    program: Arc<MlnProgram>,
+    true_atoms: Vec<GroundAtom>,
+    /// `true_atoms` rendered by [`render_atom`], once, at construction.
+    rendered: Vec<String>,
     /// The cost of the returned world (§2.2, Equation 1).
     pub cost: Cost,
     /// The best-cost-over-time trace (Figures 3–6).
@@ -78,31 +77,27 @@ pub struct MapResult {
 
 impl MapResult {
     pub(crate) fn new(
-        program: &MlnProgram,
+        program: &Arc<MlnProgram>,
         registry: &AtomRegistry,
         truth: &[bool],
         cost: Cost,
         trace: TimeCostTrace,
         report: InferenceReport,
     ) -> MapResult {
-        let mut atoms = Vec::new();
-        let mut names = Vec::new();
+        let mut true_atoms = Vec::new();
+        let mut rendered = Vec::new();
         for (i, &t) in truth.iter().enumerate() {
             if !t {
                 continue;
             }
             let ga = registry.ground_atom(i as u32);
-            names.push(atom_names(program, &ga));
-            atoms.push(ga);
+            rendered.push(render_atom(program, &ga));
+            true_atoms.push(ga);
         }
         MapResult {
-            program_true_atoms: atoms,
-            name_of: names,
-            known_predicates: program
-                .predicates
-                .iter()
-                .map(|p| program.symbols.resolve(p.name).to_string())
-                .collect(),
+            program: Arc::clone(program),
+            true_atoms,
+            rendered,
             cost,
             trace,
             report,
@@ -111,7 +106,14 @@ impl MapResult {
 
     /// All query atoms inferred true, as ground atoms.
     pub fn true_atoms(&self) -> &[GroundAtom] {
-        &self.program_true_atoms
+        &self.true_atoms
+    }
+
+    /// Consumes the result, handing over [`MapResult::true_atoms`]
+    /// rendered in evidence syntax (see [`render_atom`]) — what a server
+    /// answer carries, without rendering them again.
+    pub fn into_rendered_atoms(self) -> Vec<String> {
+        self.rendered
     }
 
     /// The inferred-true tuples of one predicate, as argument string
@@ -119,14 +121,18 @@ impl MapResult {
     /// relation). Returns `None` for a predicate the program never
     /// declared.
     pub fn true_atoms_of(&self, predicate: &str) -> Option<Vec<Vec<String>>> {
-        if !self.known_predicates.iter().any(|p| p == predicate) {
-            return None;
-        }
+        let pred = self.program.predicate_by_name(predicate)?;
+        let symbols = &self.program.symbols;
         Some(
-            self.name_of
+            self.true_atoms
                 .iter()
-                .filter(|(name, _)| name == predicate)
-                .map(|(_, args)| args.clone())
+                .filter(|ga| ga.predicate == pred)
+                .map(|ga| {
+                    ga.args
+                        .iter()
+                        .map(|&arg| symbols.resolve(arg).to_string())
+                        .collect()
+                })
                 .collect(),
         )
     }
@@ -134,11 +140,9 @@ impl MapResult {
     /// Renders the inferred world as evidence-format lines.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        for (name, args) in &self.name_of {
-            out.push_str(name);
-            out.push('(');
-            out.push_str(&args.join(", "));
-            out.push_str(")\n");
+        for line in &self.rendered {
+            out.push_str(line);
+            out.push('\n');
         }
         out
     }

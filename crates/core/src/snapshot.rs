@@ -135,22 +135,23 @@ pub(crate) enum ForkWarm {
 /// cache keyed by generation". Held behind an `Arc` so every snapshot
 /// of the same generation (including forks whose delta left the store
 /// untouched) shares one set of cells: whoever computes first, everyone
-/// benefits, regardless of fork timing.
+/// benefits, regardless of fork timing. Every other generation starts
+/// with a fresh set.
 #[derive(Default)]
 struct GenerationCaches {
-    /// Partition schedule, planned on first use.
+    /// Partition schedule, planned on first use; it also keeps the
+    /// per-partition sub-MRFs the scheduler slices on first use.
     schedule: OnceLock<Arc<Schedule>>,
-    /// Nontrivial component count, detected on first use.
+    /// Nontrivial component count, detected on first use. The one
+    /// analysis that depends on structure alone, so
+    /// [`Snapshot::relearn`] forks carry it over.
     components: OnceLock<usize>,
-    /// Marginal-sampling results keyed on `(generation, McSatParams
-    /// fingerprint)`. Marginal inference is deterministic in (generation,
+    /// Marginal-sampling results keyed on the `McSatParams`
+    /// fingerprint. Marginal inference is deterministic in (generation,
     /// params), so a repeat query — the weight-learning loop re-issues
     /// identical ones every iteration — returns the cached samples
-    /// instead of re-sampling. The generation is part of the key because
-    /// [`Snapshot::relearn`] forks share this cache set (their structural
-    /// analyses stay valid) while their weights — and thus marginals — do
-    /// not carry over.
-    marginals: Mutex<FxHashMap<(u64, u64), Arc<MarginalSamples>>>,
+    /// instead of re-sampling.
+    marginals: Mutex<FxHashMap<u64, Arc<MarginalSamples>>>,
     /// Marginal cache hits served (see [`Snapshot::marginal_cache_hits`]).
     marginal_hits: AtomicU64,
 }
@@ -545,7 +546,7 @@ impl Snapshot {
     /// configured, one monolithic sampler otherwise.
     pub fn marginal_stats(&self, params: &McSatParams) -> Result<Arc<MarginalSamples>, MlnError> {
         let caches = &self.inner.caches;
-        let key = (self.inner.generation, mcsat_fingerprint(params));
+        let key = mcsat_fingerprint(params);
         if let Some(hit) = caches.marginals.lock().expect("marginal cache").get(&key) {
             let hit = Arc::clone(hit);
             caches.marginal_hits.fetch_add(1, Ordering::Relaxed);
@@ -565,7 +566,7 @@ impl Snapshot {
     }
 
     /// Marginal-cache hits served by this generation's cache set (shared
-    /// with same-generation clones and [`Snapshot::relearn`] forks).
+    /// with same-generation clones).
     pub fn marginal_cache_hits(&self) -> u64 {
         self.inner.caches.marginal_hits.load(Ordering::Relaxed)
     }
@@ -611,9 +612,12 @@ impl Snapshot {
     /// weight learning's iteration step. O(clauses): the MRF's weight and
     /// violation-cost columns are rebuilt through
     /// [`tuffy_mrf::Mrf::reweight`] while every structural arena
-    /// (literals, occurrences, origins, registry, partition schedule,
-    /// component counts) is shared with this snapshot, which stays fully
-    /// usable — in-flight queries on any generation are undisturbed.
+    /// (literals, occurrences, origins, registry) and the component
+    /// count are shared with this snapshot, which stays fully usable —
+    /// in-flight queries on any generation are undisturbed. The
+    /// partition schedule is planned afresh on first use: its cached
+    /// sub-MRFs carry weights, and a budgeted schedule depends on them
+    /// (Algorithm 3 merges in |w| order).
     ///
     /// The forked program carries the new weights on its rules, so a
     /// later re-ground (or a persisted save) reproduces them. Non-finite
@@ -655,6 +659,13 @@ impl Snapshot {
             registry: inner.grounding.registry.clone(),
             stats: inner.grounding.stats.clone(),
         };
+        // Fresh caches: the schedule's sub-MRF slices and the marginal
+        // samples are weight-dependent. Only the component count, a
+        // function of the shared structure, carries over.
+        let caches = GenerationCaches::default();
+        if let Some(&components) = inner.caches.components.get() {
+            let _ = caches.components.set(components);
+        }
         Ok(Snapshot {
             inner: Arc::new(SnapshotInner {
                 program: Arc::new(program),
@@ -663,11 +674,7 @@ impl Snapshot {
                 grounding: Arc::new(grounding),
                 generation: inner.counters.next_generation(),
                 counters: inner.counters.clone(),
-                // Reweighting preserves every structural arena, so the
-                // schedule and component caches stay valid; the marginal
-                // cache keys on the generation, so stale samples cannot
-                // leak across the weight change.
-                caches: inner.caches.clone(),
+                caches: Arc::new(caches),
             }),
         })
     }

@@ -264,6 +264,71 @@ fn marginal_stats_are_cached_per_generation_and_params() {
 }
 
 #[test]
+fn relearned_generations_never_search_stale_caches() {
+    // A relearn fork must answer exactly like a scheduler planned from
+    // scratch over the relearned MRF, even after its parent generation
+    // warmed every cache: the schedule's sub-MRF slices carry the old
+    // weights, and a budgeted schedule's partitioning depends on them.
+    let search = quick_learner().search;
+    let params = quick_learner().mcsat;
+    for partitioning in [
+        tuffy::PartitionStrategy::Components,
+        tuffy::PartitionStrategy::Budget(2_000),
+    ] {
+        let (raw, _) = rc_setup_with(2, partitioning);
+        // MC-SAT rejects negative weights; relearn into the feasible set.
+        let feasible = |scale: f64| -> Vec<Weight> {
+            raw.program()
+                .rules
+                .iter()
+                .enumerate()
+                .map(|(i, r)| match r.weight {
+                    Weight::Soft(v) => Weight::Soft(v.abs().max(0.25) * scale * (1.0 + i as f64)),
+                    hard => hard,
+                })
+                .collect()
+        };
+        let parent = raw.relearn(&feasible(1.0)).unwrap().snapshot();
+        parent.map_world(&search);
+        parent.marginal_stats(&params).unwrap();
+
+        let fork = parent.relearn(&feasible(3.0)).unwrap();
+        let mrf = &fork.grounding().mrf;
+        let config = tuffy::SchedulerConfig {
+            search,
+            ..fork.config().scheduler_config()
+        };
+        let fresh = tuffy::Scheduler::new(mrf, config);
+        if let tuffy::PartitionStrategy::Budget(_) = partitioning {
+            assert!(
+                !fresh.schedule().parts.cut_clauses.is_empty(),
+                "the budget should cut clauses"
+            );
+        }
+        let expect = fresh.run(None);
+        let (truth, cost) = fork.map_world(&search);
+        assert_eq!(truth, expect.truth, "{partitioning:?}: MAP world");
+        assert_eq!(cost.hard, expect.cost.hard, "{partitioning:?}: MAP cost");
+        assert_eq!(cost.soft.to_bits(), expect.cost.soft.to_bits());
+
+        // Marginal queries condition on a MAP mode searched with the
+        // configuration's own parameters.
+        let expect = tuffy::Scheduler::new(mrf, fork.config().scheduler_config())
+            .run_marginal(&params)
+            .unwrap();
+        let got = fork.marginal_stats(&params).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got.probs),
+            bits(&expect.probs),
+            "{partitioning:?}: marginals"
+        );
+        assert_eq!(bits(&got.clause_sat), bits(&expect.clause_sat));
+        assert_eq!(got.flips, expect.flips);
+    }
+}
+
+#[test]
 fn durable_relearn_persists_learned_weights_across_reopen() {
     let (engine, training) = rc_setup(1);
     let fit = quick_learner()

@@ -129,8 +129,9 @@ mod tests {
         let cs = ComponentSet::detect(&m);
         let mut clause_total = 0;
         for i in 0..cs.count() {
-            let (sub, origin) = m.project(&cs.atoms[i]);
+            let (sub, origin) = m.project(&cs.atoms[i], &cs.clauses[i]);
             assert_eq!(origin.len(), cs.clauses[i].len());
+            assert_eq!(origin, cs.clauses[i]);
             clause_total += sub.clauses().len();
         }
         assert_eq!(clause_total, m.clauses().len());

@@ -497,57 +497,64 @@ impl Mrf {
         self.num_atoms + self.total_literals()
     }
 
-    /// Extracts the sub-MRF induced by `atoms` (in the given order): atom
-    /// `atoms[i]` becomes atom `i`. Returns the sub-MRF and, for each of
-    /// its clauses, the index of the originating clause. Only clauses
-    /// *fully contained* in `atoms` are included.
+    /// Slices the sub-MRF made of `clauses` over `atoms`: atom `atoms[i]`
+    /// becomes atom `i`, and the clauses keep the order given. Returns
+    /// the sub-MRF and, for each of its clauses, the index of the
+    /// originating clause.
     ///
-    /// Projection slices the arenas directly — remapped literals append
-    /// to a fresh literal arena and the per-clause columns (weight,
-    /// violation cost, provenance) copy over verbatim — rather than
-    /// re-running clause construction: source clauses are already merged
-    /// and deduplicated, and the atom remap is injective, so no new
-    /// merging can occur. Opaque-atom flags are not carried (projected
-    /// sub-MRFs are searched, never patched).
-    pub fn project(&self, atoms: &[AtomId]) -> (Mrf, Vec<u32>) {
-        let mut dense: FxHashMap<AtomId, AtomId> = FxHashMap::default();
-        for (i, &a) in atoms.iter().enumerate() {
-            dense.insert(a, i as AtomId);
-        }
-        let mut columns = ClauseColumns::default();
-        let mut origin: Vec<u32> = Vec::new();
-        let mut seen: Vec<bool> = vec![false; self.num_clauses()];
-        let mut lit_buf: Vec<Lit> = Vec::new();
-        for &a in atoms {
-            for &occ in self.occurrences(a) {
-                let ci = occ.clause() as usize;
-                if seen[ci] {
-                    continue;
+    /// `atoms` must be strictly ascending and every clause must lie fully
+    /// inside it (a component's or partition's internal clauses); either
+    /// violation panics. The remap is then monotone, so remapped
+    /// literals stay sorted and append to a fresh arena without a sort,
+    /// and the per-clause columns (weight, violation cost, provenance)
+    /// copy over verbatim. Source clauses are already merged and
+    /// deduplicated, and the remap is injective, so no new merging can
+    /// occur. Sign-less clauses (a relearned weight that cancelled to
+    /// `Soft(0.0)`) are dropped and their atoms flagged opaque, as
+    /// [`MrfBuilder::finish`] drops them. Rule origins and any other
+    /// opacity are not carried: projected sub-MRFs are searched, never
+    /// reweighted or patched.
+    ///
+    /// The literal, weight and violation columns, and so the occurrence
+    /// CSR, are therefore exactly those of a builder fed the same
+    /// remapped clauses in the same order — the sub-MRF the scheduler
+    /// would condition for a partition with no cut clauses.
+    pub fn project(&self, atoms: &[AtomId], clauses: &[u32]) -> (Mrf, Vec<u32>) {
+        assert!(
+            atoms.windows(2).all(|w| w[0] < w[1]),
+            "project needs a strictly ascending atom list"
+        );
+        let local = |a: AtomId| -> AtomId {
+            atoms
+                .binary_search(&a)
+                .unwrap_or_else(|_| panic!("clause atom {a} lies outside the projected atoms"))
+                as AtomId
+        };
+        let literals: usize = clauses
+            .iter()
+            .map(|&ci| self.clause_lits(ci as usize).len())
+            .sum();
+        let mut columns = ClauseColumns::with_capacity(clauses.len(), literals);
+        let mut origin: Vec<u32> = Vec::with_capacity(clauses.len());
+        let mut opaque = vec![false; atoms.len()];
+        for &ci in clauses {
+            let ci = ci as usize;
+            let start = columns.lit_arena.len();
+            columns.lit_arena.extend(
+                self.clause_lits(ci)
+                    .iter()
+                    .map(|l| Lit::new(local(l.atom()), l.is_positive())),
+            );
+            if self.weights[ci].signum() == 0 {
+                for l in columns.lit_arena.drain(start..) {
+                    opaque[l.atom() as usize] = true;
                 }
-                seen[ci] = true;
-                let lits = self.clause_lits(ci);
-                if !lits.iter().all(|l| dense.contains_key(&l.atom())) {
-                    continue;
-                }
-                lit_buf.clear();
-                lit_buf.extend(
-                    lits.iter()
-                        .map(|l| Lit::new(dense[&l.atom()], l.is_positive())),
-                );
-                // Clause literals are sorted by packed value; the remap
-                // permutes atom ids, so re-establish the invariant.
-                lit_buf.sort_unstable();
-                columns.push(
-                    &lit_buf,
-                    self.weights[ci],
-                    self.provenance[ci],
-                    self.clause_origins(ci),
-                );
-                origin.push(ci as u32);
+                continue;
             }
+            columns.seal(self.weights[ci], self.provenance[ci], &[]);
+            origin.push(ci as u32);
         }
-        let sub = columns.assemble(atoms.len(), vec![false; atoms.len()], Cost::ZERO);
-        (sub, origin)
+        (columns.assemble(atoms.len(), opaque, Cost::ZERO), origin)
     }
 
     /// Bytes of the clause columns (the paper's "clause table" row of
@@ -782,7 +789,6 @@ pub struct MrfColumns {
 /// The growable clause columns shared by [`MrfBuilder::finish`] and
 /// [`Mrf::project`]: literals append to the arena, scalars to parallel
 /// vectors, and [`ClauseColumns::assemble`] derives the occurrence CSR.
-#[derive(Default)]
 struct ClauseColumns {
     lit_arena: Vec<Lit>,
     lit_ends: Vec<u32>,
@@ -814,6 +820,12 @@ impl ClauseColumns {
         origins: &[RuleOrigin],
     ) {
         self.lit_arena.extend_from_slice(lits);
+        self.seal(weight, provenance, origins);
+    }
+
+    /// Closes a clause whose literals were appended to `lit_arena`
+    /// directly, recording its per-clause columns.
+    fn seal(&mut self, weight: Weight, provenance: ClauseProvenance, origins: &[RuleOrigin]) {
         self.lit_ends.push(self.lit_arena.len() as u32);
         self.violation.push(PackedViolation::of(weight));
         self.weights.push(weight);
@@ -1225,32 +1237,53 @@ mod tests {
         b.add_clause(vec![Lit::pos(1), Lit::pos(2)], Weight::Soft(1.0));
         b.add_clause(vec![Lit::pos(3)], Weight::Soft(1.0));
         let m = b.finish();
-        let (sub, origin) = m.project(&[0, 1]);
+        // {1,2} crosses the {0,1} boundary, so only clause 0 is inside.
+        let (sub, origin) = m.project(&[0, 1], &[0]);
         assert_eq!(sub.num_atoms(), 2);
-        assert_eq!(sub.clauses().len(), 1); // {1,2} crosses the boundary
+        assert_eq!(sub.clauses().len(), 1);
         assert_eq!(origin, vec![0]);
-        let (sub2, _) = m.project(&[3]);
+        let (sub2, _) = m.project(&[3], &[2]);
         assert_eq!(sub2.clauses().len(), 1);
         assert_eq!(sub2.clause(0).lits[0].atom(), 0);
     }
 
     #[test]
+    #[should_panic(expected = "outside the projected atoms")]
+    fn project_rejects_a_clause_crossing_the_boundary() {
+        let mut b = MrfBuilder::new();
+        b.add_clause(vec![Lit::pos(1), Lit::pos(2)], Weight::Soft(1.0));
+        b.finish().project(&[0, 1], &[0]);
+    }
+
+    #[test]
     fn project_reorder_keeps_literals_sorted() {
-        // Projecting with a permuted atom order must re-sort each
-        // clause's literals under the new ids.
+        // Renumbering a sparse ascending atom list is monotone, so each
+        // clause's literals stay sorted under the new ids without a
+        // re-sort, and clauses keep the order they were listed in.
         let mut b = MrfBuilder::new();
         b.add_clause(
-            vec![Lit::pos(0), Lit::neg(1), Lit::pos(2)],
+            vec![Lit::pos(7), Lit::neg(3), Lit::pos(5)],
             Weight::Soft(1.0),
         );
+        b.add_clause(vec![Lit::neg(5)], Weight::Soft(2.0));
         let m = b.finish();
-        let (sub, _) = m.project(&[2, 0, 1]);
-        let lits = sub.clause_lits(0).to_vec();
+        let (sub, origin) = m.project(&[3, 5, 7], &[1, 0]);
+        assert_eq!(origin, vec![1, 0]);
+        let lits = sub.clause_lits(1).to_vec();
         let mut sorted = lits.clone();
         sorted.sort_unstable();
         assert_eq!(lits, sorted);
-        // Atom 2 → 0 (positive), 0 → 1 (positive), 1 → 2 (negative).
-        assert_eq!(lits, vec![Lit::pos(0), Lit::pos(1), Lit::neg(2)]);
+        // Atom 3 → 0 (negative), 5 → 1 (positive), 7 → 2 (positive).
+        assert_eq!(lits, vec![Lit::neg(0), Lit::pos(1), Lit::pos(2)]);
+        assert_eq!(sub.clause_lits(0), &[Lit::neg(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn project_rejects_a_permuted_atom_list() {
+        let mut b = MrfBuilder::new();
+        b.add_clause(vec![Lit::pos(0), Lit::pos(1)], Weight::Soft(1.0));
+        b.finish().project(&[1, 0], &[0]);
     }
 
     #[test]
@@ -1259,7 +1292,7 @@ mod tests {
         b.add_clause(vec![Lit::pos(0)], Weight::Soft(1.0));
         b.add_clause(vec![Lit::pos(0)], Weight::Soft(-0.25));
         let m = b.finish();
-        let (sub, _) = m.project(&[0]);
+        let (sub, _) = m.project(&[0], &[0]);
         assert_eq!(sub.provenance(0), m.provenance(0));
         assert_eq!(sub.violation_cost(0), m.violation_cost(0));
     }

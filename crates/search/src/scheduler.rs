@@ -14,10 +14,14 @@
 //!    work-stealing worker pool. Within a bin every partition is searched
 //!    against the assignment *snapshotted at the bin's start* (block
 //!    Jacobi), while later bins — and later Gauss-Seidel rounds — see all
-//!    earlier updates (Gauss-Seidel). Cut clauses are conditioned on the
-//!    snapshot exactly as §3.4 describes: externally satisfied cut
-//!    clauses drop out for the pass, the rest lose their external
-//!    literals.
+//!    earlier updates (Gauss-Seidel). A partition with no cut clauses —
+//!    every partition when no budget is given — searches one sub-MRF
+//!    sliced from the global arenas ([`Mrf::project`]) the first time
+//!    any pass needs it and kept in the [`Schedule`] for every later
+//!    pass and query of the generation: it does not depend on the
+//!    snapshot. Only a partition with cut clauses is conditioned per
+//!    pass, exactly as §3.4 describes: externally satisfied cut clauses
+//!    drop out for the pass, the rest lose their external literals.
 //! 3. **Converge**: rounds stop early once a full sweep leaves the
 //!    assignment unchanged.
 //!
@@ -31,7 +35,7 @@ use crate::mcsat::{McSat, McSatParams};
 use crate::timecost::TimeCostTrace;
 use crate::walksat::{WalkSat, WalkSatParams};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tuffy_mln::fxhash::FxHashMap;
 use tuffy_mln::MlnError;
 use tuffy_mrf::binpack::{first_fit_decreasing, Bin};
@@ -84,7 +88,12 @@ pub struct ScheduleUnit {
 }
 
 /// The planned decomposition: partitions, their footprints, and the
-/// memory-budgeted bins they load in.
+/// memory-budgeted bins they load in — plus, filled in lazily, the
+/// sub-MRF of every unit with no cut clauses.
+///
+/// Those sub-MRFs carry the MRF's weights, so a schedule serves exactly
+/// the MRF it was first run against: share it (by `Arc`) across queries
+/// of one generation, never across a reweighting.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     /// The Algorithm 3 partitioning (exact connected components when no
@@ -103,6 +112,10 @@ pub struct Schedule {
     /// Total |w| of soft cut clauses — the worst-case cost gap between
     /// partitioned and exact search (Appendix B.8's tradeoff quantity).
     pub cut_soft: f64,
+    /// Per-unit sub-MRF slices, aligned with `units`: a cut-free unit's
+    /// cell is filled by whichever pass reaches the unit first; cells of
+    /// units with cut clauses stay empty.
+    slices: Vec<OnceLock<Mrf>>,
 }
 
 impl Schedule {
@@ -144,6 +157,7 @@ impl Schedule {
         let capacity = mem_budget.map_or(u64::MAX, |b| (b as u64).max(1));
         let bins = first_fit_decreasing(&sizes, capacity);
         let (cut_hard, cut_soft) = parts.cut_weight(mrf);
+        let slices = units.iter().map(|_| OnceLock::new()).collect();
         Schedule {
             parts,
             units,
@@ -152,6 +166,7 @@ impl Schedule {
             mem_budget,
             cut_hard,
             cut_soft,
+            slices,
         }
     }
 
@@ -231,8 +246,10 @@ impl<'a> Scheduler<'a> {
     /// path, where repeated queries over an unchanged grounded generation
     /// should not re-run partitioning and bin packing. Shared by `Arc`:
     /// any number of concurrent queries over one generation can hold the
-    /// same plan without cloning it. The schedule must have been planned
-    /// for this `mrf` under this configuration's budget.
+    /// same plan — and the sub-MRF slices it accumulates — without
+    /// cloning it. The schedule must have been planned for this `mrf`
+    /// under this configuration's budget, and run only against this
+    /// `mrf`'s weights (see [`Schedule`]).
     pub fn with_schedule(
         mrf: &'a Mrf,
         schedule: Arc<Schedule>,
@@ -468,25 +485,12 @@ impl<'a> Scheduler<'a> {
         for bin in &self.schedule.bins {
             let jobs = &bin.items;
             let run_unit = |ui: usize| -> (Vec<f64>, Vec<(u32, f64)>, u64) {
-                let unit = &self.schedule.units[ui];
-                let atoms = &self.schedule.parts.atoms[unit.part];
-                let cu = self.condition_unit_tracked(unit.part, atoms, &condition_state);
-                let seed = derive_seed(params.seed, unit.part, 0);
-                let mut mc =
-                    McSat::new(&cu.sub, seed).expect("weights validated non-negative above");
+                let um = self.unit_mrf(ui, &condition_state);
+                let pi = self.schedule.units[ui].part;
+                let mut mc = McSat::new(um.sub(), derive_seed(params.seed, pi, 0))
+                    .expect("weights validated non-negative above");
                 let (probs, sub_sat) = mc.marginals_with_clause_stats(params);
-                let mut sat: Vec<(u32, f64)> = Vec::new();
-                for (fi, contrib) in cu.contributors.iter().enumerate() {
-                    for &ci in contrib {
-                        sat.push((ci, sub_sat[fi]));
-                    }
-                }
-                for &ci in &cu.external_sat {
-                    sat.push((ci, 1.0));
-                }
-                for &(ci, satisfied) in &cu.residual {
-                    sat.push((ci, f64::from(u8::from(satisfied))));
-                }
+                let sat = self.clause_sat(pi, &um, &sub_sat, &condition_state);
                 (probs, sat, mc.flips())
             };
             let locals = self.pool_map(jobs, run_unit);
@@ -523,15 +527,19 @@ impl<'a> Scheduler<'a> {
     /// Executes one bin: workers steal partition passes off a shared
     /// queue; outcomes come back in schedule order.
     fn run_bin(&self, bin: &Bin, snapshot: &[bool], round: usize) -> Vec<UnitOutcome> {
-        let total_atoms = self.mrf.num_atoms().max(1) as u64;
-        let rounds = self.rounds() as u64;
+        let total_atoms = self.mrf.num_atoms().max(1) as u128;
+        let rounds = self.rounds() as u128;
+        // In u128: `max_flips · atoms` overflows u64 for budgets near
+        // u64::MAX, while the quotient never exceeds `max_flips`.
         let budget_of = |u: &ScheduleUnit| {
-            (self.config.search.max_flips * u.atom_count as u64 / (total_atoms * rounds)).max(1)
+            let share = u128::from(self.config.search.max_flips) * u.atom_count as u128
+                / (total_atoms * rounds);
+            (share as u64).max(1)
         };
         let pass = |ui: usize| {
             let unit = &self.schedule.units[ui];
             self.run_unit_pass(
-                unit,
+                ui,
                 snapshot,
                 budget_of(unit),
                 derive_seed(self.config.search.seed, unit.part, round),
@@ -574,18 +582,14 @@ impl<'a> Scheduler<'a> {
             .collect()
     }
 
-    /// One WalkSAT pass over a conditioned partition.
-    fn run_unit_pass(
-        &self,
-        unit: &ScheduleUnit,
-        snapshot: &[bool],
-        budget: u64,
-        seed: u64,
-    ) -> UnitOutcome {
-        let atoms = &self.schedule.parts.atoms[unit.part];
-        let (sub, init) = self.condition_unit(unit.part, atoms, snapshot);
-        let bytes = MemoryFootprint::of(&sub).total();
-        let mut ws = WalkSat::with_assignment(&sub, init, seed);
+    /// One WalkSAT pass over unit `ui`'s sub-MRF, started from the
+    /// partition's atoms in `snapshot`.
+    fn run_unit_pass(&self, ui: usize, snapshot: &[bool], budget: u64, seed: u64) -> UnitOutcome {
+        let um = self.unit_mrf(ui, snapshot);
+        let atoms = &self.schedule.parts.atoms[self.schedule.units[ui].part];
+        let init: Vec<bool> = atoms.iter().map(|&a| snapshot[a as usize]).collect();
+        let bytes = MemoryFootprint::of(um.sub()).total();
+        let mut ws = WalkSat::with_assignment(um.sub(), init, seed);
         let mut trace = TimeCostTrace::new();
         trace.record(0, ws.best_cost());
         let mut last_best = ws.best_cost();
@@ -606,25 +610,72 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Builds the sub-MRF of partition `pi` conditioned on the rest of
-    /// the snapshot (§3.4), plus the partition's initial state: internal
-    /// clauses come over verbatim; cut clauses with an externally
-    /// satisfied literal drop out for the pass; other cut clauses lose
-    /// their external literals.
-    fn condition_unit(&self, pi: usize, atoms: &[AtomId], global: &[bool]) -> (Mrf, Vec<bool>) {
-        let cu = self.condition_unit_tracked(pi, atoms, global);
-        (cu.sub, cu.init)
+    /// The sub-MRF unit `ui` searches under the conditioning state
+    /// `state`. A unit with no cut clauses borrows the schedule's slice
+    /// ([`Mrf::project`] of its internal clauses), which does not depend
+    /// on `state` and is built by whichever pass reaches the unit first;
+    /// a unit with cut clauses is conditioned afresh.
+    fn unit_mrf(&self, ui: usize, state: &[bool]) -> UnitMrf<'_> {
+        let pi = self.schedule.units[ui].part;
+        if !self.schedule.cut_by_part[pi].is_empty() {
+            return UnitMrf::Conditioned(Box::new(self.condition_unit(pi, state)));
+        }
+        UnitMrf::Sliced(self.schedule.slices[ui].get_or_init(|| {
+            let parts = &self.schedule.parts;
+            self.mrf
+                .project(&parts.atoms[pi], &parts.internal_clauses[pi])
+                .0
+        }))
     }
 
-    /// [`Scheduler::condition_unit`] that also maps every global clause
-    /// of the partition to its fate in the sub-MRF, so per-sub-clause
-    /// sampler statistics can be attributed back to global clause ids.
-    fn condition_unit_tracked(
+    /// Maps per-sub-clause satisfaction `sub_sat` of partition `pi`'s
+    /// sub-MRF back to global clause ids. Clauses the sub-MRF does not
+    /// represent read their satisfaction off the conditioning `state`.
+    fn clause_sat(
         &self,
         pi: usize,
-        atoms: &[AtomId],
-        global: &[bool],
-    ) -> ConditionedUnit {
+        um: &UnitMrf<'_>,
+        sub_sat: &[f64],
+        state: &[bool],
+    ) -> Vec<(u32, f64)> {
+        let at_state = |ci: u32| {
+            let satisfied = self.mrf.clause(ci as usize).satisfied(state);
+            (ci, f64::from(u8::from(satisfied)))
+        };
+        match um {
+            // The slice keeps the internal clauses in order, minus the
+            // sign-less ones `project` drops.
+            UnitMrf::Sliced(_) => {
+                let mut fi = 0;
+                self.schedule.parts.internal_clauses[pi]
+                    .iter()
+                    .map(|&ci| {
+                        if self.mrf.clause_weight(ci as usize).signum() == 0 {
+                            return at_state(ci);
+                        }
+                        fi += 1;
+                        (ci, sub_sat[fi - 1])
+                    })
+                    .collect()
+            }
+            UnitMrf::Conditioned(cu) => cu
+                .contributors
+                .iter()
+                .map(|&(fi, ci)| (ci, sub_sat[fi as usize]))
+                .chain(cu.fixed.iter().map(|&ci| at_state(ci)))
+                .collect(),
+        }
+    }
+
+    /// Builds the sub-MRF of partition `pi` conditioned on the rest of
+    /// `global` (§3.4) through [`MrfBuilder`]: internal clauses come over
+    /// verbatim; cut clauses with an externally satisfied literal drop
+    /// out for the pass; other cut clauses lose their external literals.
+    /// Also maps every global clause of the partition to its fate in the
+    /// sub-MRF, so per-sub-clause sampler statistics can be attributed
+    /// back to global clause ids.
+    fn condition_unit(&self, pi: usize, global: &[bool]) -> ConditionedUnit {
+        let atoms = &self.schedule.parts.atoms[pi];
         let mut dense: FxHashMap<AtomId, AtomId> = FxHashMap::default();
         for (i, &a) in atoms.iter().enumerate() {
             dense.insert(a, i as AtomId);
@@ -635,8 +686,8 @@ impl<'a> Scheduler<'a> {
         // clauses can collapse onto one sub-clause once their external
         // literals drop), plus clauses the sub-MRF cannot represent.
         let mut by_builder: Vec<Vec<u32>> = Vec::new();
-        let mut external_sat: Vec<u32> = Vec::new();
-        let mut residual: Vec<(u32, bool)> = Vec::new();
+        let mut fixed: Vec<u32> = Vec::new();
+        let mut residual: Vec<u32> = Vec::new();
         let mut track = |slot: Option<u32>, ci: u32, by_builder: &mut Vec<Vec<u32>>| match slot {
             Some(bi) => {
                 if bi as usize == by_builder.len() {
@@ -647,7 +698,7 @@ impl<'a> Scheduler<'a> {
             }
             // Empty after conditioning (every literal external and
             // false): constant for the pass, never satisfiable.
-            None => residual.push((ci, false)),
+            None => residual.push(ci),
         };
         for &ci in &self.schedule.parts.internal_clauses[pi] {
             let c = self.mrf.clause(ci as usize);
@@ -676,52 +727,67 @@ impl<'a> Scheduler<'a> {
                 }
             }
             if satisfied_externally {
-                external_sat.push(ci);
+                fixed.push(ci);
                 continue; // fixed for this pass
             }
             let slot = b.add_clause_tracked(lits, c.weight);
             track(slot, ci, &mut by_builder);
         }
+        fixed.append(&mut residual);
         let (sub, map) = b.finish_mapped();
-        let mut contributors: Vec<Vec<u32>> = vec![Vec::new(); sub.num_clauses()];
+        // Kept clauses keep their builder order, so the pairs come out
+        // in sub-clause order.
+        let mut contributors: Vec<(u32, u32)> = Vec::new();
         for (bi, contrib) in by_builder.into_iter().enumerate() {
             match map[bi] {
-                Some(fi) => contributors[fi as usize] = contrib,
+                Some(fi) => contributors.extend(contrib.into_iter().map(|ci| (fi, ci))),
                 // Merged weight cancelled at finish: the sampler never
-                // sees the clause. Fall back to its (deterministic)
-                // truth at the conditioning state.
-                None => {
-                    for ci in contrib {
-                        let sat = self.mrf.clause(ci as usize).satisfied(global);
-                        residual.push((ci, sat));
-                    }
-                }
+                // sees the clause.
+                None => fixed.extend(contrib),
             }
         }
-        let init: Vec<bool> = atoms.iter().map(|&a| global[a as usize]).collect();
         ConditionedUnit {
             sub,
-            init,
             contributors,
-            external_sat,
-            residual,
+            fixed,
         }
     }
 }
 
-/// A partition's conditioned sub-MRF plus the bookkeeping that maps
-/// sampler statistics back to global clause ids (see
-/// [`Scheduler::condition_unit_tracked`]).
+/// The sub-MRF a unit is searched on (see [`Scheduler::unit_mrf`]).
+enum UnitMrf<'s> {
+    /// A cut-free unit's slice, sliced once per generation and kept in
+    /// its [`Schedule`].
+    Sliced(&'s Mrf),
+    /// A unit with cut clauses, conditioned on one pass's state.
+    Conditioned(Box<ConditionedUnit>),
+}
+
+impl UnitMrf<'_> {
+    fn sub(&self) -> &Mrf {
+        match self {
+            UnitMrf::Sliced(sub) => sub,
+            UnitMrf::Conditioned(cu) => &cu.sub,
+        }
+    }
+}
+
+/// A conditioned sub-MRF plus the bookkeeping that maps sampler
+/// statistics back to global clause ids
+/// ([`Scheduler::condition_unit`]). Only a unit with cut clauses is
+/// conditioned, once per pass; a cut-free unit reuses its generation's
+/// slice ([`UnitMrf::Sliced`]) on every pass instead.
 struct ConditionedUnit {
     sub: Mrf,
-    init: Vec<bool>,
-    /// Global clause ids feeding each final sub-clause.
-    contributors: Vec<Vec<u32>>,
-    /// Cut clauses satisfied externally at the conditioning state.
-    external_sat: Vec<u32>,
-    /// Clauses the sub-MRF cannot represent (conditioned to a constant,
-    /// or merged weight cancelled), with their truth at the state.
-    residual: Vec<(u32, bool)>,
+    /// `(sub-clause, global clause)` pairs in sub-clause order: the
+    /// global clauses feeding each sub-clause (distinct cut clauses can
+    /// collapse onto one once their external literals drop).
+    contributors: Vec<(u32, u32)>,
+    /// Global clauses of the partition the sub-MRF does not represent:
+    /// cut clauses satisfied externally or conditioned to the empty
+    /// clause, and clauses whose weight cancelled to zero. Their
+    /// satisfaction is read off the conditioning state.
+    fixed: Vec<u32>,
 }
 
 /// Derives the RNG seed of one partition pass. Depends only on the base
@@ -880,12 +946,11 @@ mod tests {
         // With the bridge clause ¬a0 ∨ b0: if the external side satisfies
         // it, the conditioned sub-MRF drops the clause.
         let pi = s.schedule().parts.label[0] as usize;
-        let atoms = s.schedule().parts.atoms[pi].clone();
         let mut global = vec![false; m.num_atoms()];
         global[3] = true; // external literal true
-        let (sub_sat, _) = s.condition_unit(pi, &atoms, &global);
+        let sub_sat = s.condition_unit(pi, &global).sub;
         let global_unsat = vec![false; m.num_atoms()];
-        let (sub_unsat, _) = s.condition_unit(pi, &atoms, &global_unsat);
+        let sub_unsat = s.condition_unit(pi, &global_unsat).sub;
         assert_eq!(sub_sat.clauses().len() + 1, sub_unsat.clauses().len());
     }
 
@@ -1055,5 +1120,117 @@ mod tests {
             assert!(text.contains(&format!("P{}", u.part)), "{text}");
         }
         assert!(text.contains("cut: 1 clauses"), "{text}");
+    }
+
+    #[test]
+    fn flip_budget_near_u64_max_does_not_overflow() {
+        // `max_flips · atoms` used to overflow u64 here. Example 2's
+        // optimum costs 0, so WalkSAT stops there long before the
+        // budget runs out.
+        let m = example2();
+        for mem_budget in [None, Some(1 << 30)] {
+            let s = Scheduler::new(
+                &m,
+                SchedulerConfig {
+                    mem_budget,
+                    ..config(u64::MAX, 5)
+                },
+            );
+            let r = s.run(None);
+            assert!(r.cost.is_zero(), "cost = {}", r.cost);
+            assert!(r.truth.iter().all(|&t| t));
+        }
+    }
+
+    /// A relearned-style MRF over `atoms` atoms from a clause soup: each
+    /// clause is attributed to one of three rules, then reweighted, so
+    /// neutral `Soft(0.0)` clauses can occur alongside soft and hard
+    /// ones.
+    fn soup_mrf(atoms: u32, clauses: &[(Vec<(u8, bool)>, usize)], rule_weights: &[i8]) -> Mrf {
+        let mut b = MrfBuilder::new();
+        b.reserve_atoms(atoms as usize);
+        for (lits, rule) in clauses {
+            let lits = lits
+                .iter()
+                .map(|&(a, pos)| Lit::new(u32::from(a) % atoms, pos))
+                .collect();
+            b.add_clause_from_rule(lits, Weight::Soft(1.0), *rule as u32);
+        }
+        let weights: Vec<Weight> = rule_weights
+            .iter()
+            .map(|&w| match w {
+                3 => Weight::Hard,
+                w => Weight::Soft(f64::from(w)),
+            })
+            .collect();
+        b.finish().reweight(&weights).unwrap()
+    }
+
+    proptest::proptest! {
+        /// The per-generation slice of every cut-free unit is column for
+        /// column the sub-MRF the builder conditions for it, with the same
+        /// clause bookkeeping, under any state.
+        #[test]
+        fn cut_free_slices_match_the_conditioned_builder_output(
+            clauses in proptest::collection::vec(
+                (proptest::collection::vec((0u8..14, proptest::prelude::any::<bool>()), 1..4), 0usize..3),
+                1..30,
+            ),
+            rule_weights in proptest::collection::vec(-2i8..4, 3..4),
+            budget_units in 4usize..60,
+            state in proptest::collection::vec(proptest::prelude::any::<bool>(), 14..15),
+            sampled in proptest::collection::vec(0u32..100, 30..31),
+        ) {
+            let m = soup_mrf(14, &clauses, &rule_weights);
+            let budget = budget_units * tuffy_mrf::memory::BYTES_PER_SIZE_UNIT;
+            for mem_budget in [None, Some(budget)] {
+                let s = Scheduler::new(&m, SchedulerConfig { mem_budget, ..config(100, 1) });
+                for (ui, unit) in s.schedule().units.iter().enumerate() {
+                    let slice = s.unit_mrf(ui, &state);
+                    if unit.cut_clauses > 0 {
+                        proptest::prop_assert!(matches!(slice, UnitMrf::Conditioned(_)));
+                        continue;
+                    }
+                    proptest::prop_assert!(matches!(slice, UnitMrf::Sliced(_)));
+                    let built = UnitMrf::Conditioned(Box::new(s.condition_unit(unit.part, &state)));
+                    let (a, b) = (slice.sub(), built.sub());
+                    proptest::prop_assert_eq!(a.num_atoms(), b.num_atoms());
+                    proptest::prop_assert_eq!(a.num_clauses(), b.num_clauses());
+                    proptest::prop_assert_eq!(a.base_cost, b.base_cost);
+                    for ci in 0..a.num_clauses() {
+                        proptest::prop_assert_eq!(a.clause_lits(ci), b.clause_lits(ci));
+                        proptest::prop_assert_eq!(a.clause_weight(ci), b.clause_weight(ci));
+                        proptest::prop_assert_eq!(a.violation_cost(ci), b.violation_cost(ci));
+                        for sat in [false, true] {
+                            proptest::prop_assert_eq!(
+                                a.clause_violated_when(ci, sat),
+                                b.clause_violated_when(ci, sat)
+                            );
+                        }
+                    }
+                    for atom in 0..a.num_atoms() as AtomId {
+                        proptest::prop_assert_eq!(a.occurrences(atom), b.occurrences(atom));
+                    }
+                    // Sampler statistics attribute back to the same
+                    // global clauses with the same values.
+                    let sub_sat: Vec<f64> =
+                        sampled[..a.num_clauses()].iter().map(|&p| f64::from(p) / 100.0).collect();
+                    let attributed = |um: &UnitMrf<'_>| {
+                        let mut sat: Vec<(u32, u64)> = s
+                            .clause_sat(unit.part, um, &sub_sat, &state)
+                            .into_iter()
+                            .map(|(ci, p)| (ci, p.to_bits()))
+                            .collect();
+                        sat.sort_unstable();
+                        sat
+                    };
+                    proptest::prop_assert_eq!(attributed(&slice), attributed(&built));
+                    proptest::prop_assert_eq!(
+                        MemoryFootprint::of(a).total(),
+                        MemoryFootprint::of(b).total()
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,11 +1,13 @@
 //! Metamorphic properties of the partition-aware scheduler: splitting an
-//! MRF can cost at most the cut weight relative to unsplit search, and a
-//! budget generous enough for one bin changes nothing at all.
+//! MRF can cost at most the cut weight relative to unsplit search, a
+//! budget generous enough for one bin changes nothing at all, and the
+//! sub-MRF slices a schedule keeps across runs change nothing either.
 
 use proptest::prelude::*;
 use tuffy_mln::weight::Weight;
 use tuffy_mrf::{Lit, Mrf, MrfBuilder};
-use tuffy_search::{Scheduler, SchedulerConfig};
+use tuffy_search::mcsat::McSatParams;
+use tuffy_search::{MarginalSamples, ScheduleResult, Scheduler, SchedulerConfig};
 use tuffy_search::{WalkSat, WalkSatParams};
 
 const ATOMS: u32 = 10;
@@ -41,8 +43,78 @@ fn config(mem_budget: Option<usize>, seed: u64) -> SchedulerConfig {
     }
 }
 
+/// A MAP result reduced to exact bits.
+fn map_bits(r: ScheduleResult) -> (Vec<bool>, u64, u64, u64, usize) {
+    (
+        r.truth,
+        r.cost.hard,
+        r.cost.soft.to_bits(),
+        r.flips,
+        r.rounds_run,
+    )
+}
+
+/// A marginal result reduced to exact bits.
+fn marginal_bits(m: MarginalSamples) -> (Vec<u64>, Vec<u64>, u64) {
+    let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect();
+    (bits(&m.probs), bits(&m.clause_sat), m.flips)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A schedule keeps each cut-free unit's sub-MRF after the first run
+    /// that needs it. MAP and MC-SAT answers are bit-identical on a cold
+    /// schedule and on a warm one, at 1, 2 and 4 workers, with and
+    /// without a budget that cuts clauses.
+    #[test]
+    fn cached_slices_answer_like_cold_ones_at_any_thread_count(
+        clauses in proptest::collection::vec(
+            (proptest::collection::vec((0u8..10, any::<bool>()), 1..4), 0i8..4),
+            1..25,
+        ),
+        budget_units in 4usize..40,
+        budgeted in any::<bool>(),
+        seed in 0u64..1_000,
+    ) {
+        // Non-negative weights only: MC-SAT rejects negative ones.
+        let mrf = build_mrf(&clauses);
+        let mem_budget = budgeted.then_some(budget_units * tuffy_mrf::memory::BYTES_PER_SIZE_UNIT);
+        let params = McSatParams {
+            samples: 20,
+            burn_in: 2,
+            sample_sat_steps: 50,
+            seed,
+            ..Default::default()
+        };
+        let cfg = |threads| SchedulerConfig {
+            threads,
+            ..config(mem_budget, seed)
+        };
+        let map_cold = map_bits(Scheduler::new(&mrf, cfg(1)).run(None));
+        let marginal_cold =
+            marginal_bits(Scheduler::new(&mrf, cfg(1)).run_marginal(&params).unwrap());
+        for threads in [1, 2, 4] {
+            let s = Scheduler::new(&mrf, cfg(threads));
+            prop_assert_eq!(&map_bits(s.run(None)), &map_cold, "cold MAP, {} threads", threads);
+            prop_assert_eq!(&map_bits(s.run(None)), &map_cold, "warm MAP, {} threads", threads);
+            prop_assert_eq!(
+                &marginal_bits(s.run_marginal(&params).unwrap()),
+                &marginal_cold,
+                "warm marginal, {} threads",
+                threads
+            );
+            let s = Scheduler::new(&mrf, cfg(threads));
+            prop_assert_eq!(
+                &marginal_bits(s.run_marginal(&params).unwrap()),
+                &marginal_cold,
+                "cold marginal, {} threads",
+                threads
+            );
+            let warm = Scheduler::with_schedule(&mrf, s.into_schedule(), cfg(threads));
+            prop_assert_eq!(&map_bits(warm.run(None)), &map_cold, "MAP after marginal, {} threads", threads);
+        }
+    }
 
     /// Partitioned inference with *any* bin count ends within the
     /// cut-clause weight bound of the sequential single-partition run:
